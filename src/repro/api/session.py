@@ -13,11 +13,13 @@ pipeline shares:
   variant, kept warm across experiments;
 * an optional warmed
   :class:`~repro.profiler.serialization.ProfileStore` (on-disk
-  StatStack tables) and :class:`~repro.api.runstore.RunStore`
-  (on-disk run results, keyed by spec fingerprint);
+  complete profiles and StatStack tables) and
+  :class:`~repro.api.runstore.RunStore` (on-disk run results, keyed by
+  spec fingerprint);
 * a lazily-profiled workload registry: experiments that name suite
   workloads instead of profile files trigger trace generation and
-  profiling at most once per distinct profiling-parameter set.
+  profiling at most once per distinct profiling-parameter set -- and
+  not at all when the profile store already holds that profile.
 
 Experiments are described declaratively by
 :class:`~repro.api.spec.ExperimentSpec` and executed by
@@ -212,8 +214,9 @@ class Session:
     profile_store:
         Optional :class:`ProfileStore` (or its directory path): every
         profile the session touches is content-hashed into it and its
-        StatStack tables are memoized on disk, so repeated sessions
-        start warm.
+        StatStack tables are memoized on disk, and workload profiles
+        are recorded under their profiling parameters, so repeated
+        sessions start warm -- without generating traces or profiling.
     run_store:
         Optional :class:`RunStore` (or its directory path): results of
         deterministic experiment kinds are cached by spec fingerprint
@@ -355,31 +358,64 @@ class Session:
         The trace is generated and profiled at most once per distinct
         parameter set for the session's lifetime; later experiments
         naming the same workload with the same parameters reuse the
-        in-memory profile (and its warmed StatStack models).
+        in-memory profile (and its warmed StatStack models).  With a
+        :class:`ProfileStore` attached, a registry miss first asks the
+        store for the complete profile (:meth:`ProfileStore.lookup`),
+        so a warm store skips trace generation and profiling; a store
+        miss builds the profile and records it for the next session.
 
         Returns
         -------
         ApplicationProfile
             The (possibly cached) profile.
         """
+        return self._workload_profile(
+            self.profile_store, name, instructions, micro_trace, window,
+            trace_seed, reuse_sample_rate, reuse_seed)
+
+    def _workload_profile(self, store: Optional[ProfileStore], name: str,
+                          instructions: int, micro_trace: int, window: int,
+                          trace_seed: int, reuse_sample_rate: float,
+                          reuse_seed: int):
+        """The registry's profile; a miss goes through ``store``.
+
+        A store hit skips trace generation and profiling; a store miss
+        builds the profile and records it into ``store``.
+        """
         from repro.profiler import SamplingConfig, profile_application
+        from repro.profiler.serialization import profile_params
 
         key = (name, instructions, micro_trace, window, trace_seed,
                reuse_sample_rate, reuse_seed)
-        if key not in self._profiles:
-            obs.metrics().inc("workload_registry.misses")
-            trace = self.trace(name, instructions, trace_seed)
-            sampling = SamplingConfig(
-                micro_trace,
-                window,
-                reuse_sample_rate=reuse_sample_rate,
-                reuse_seed=reuse_seed,
-            )
-            with obs.span("workloads.profile", workload=name):
-                self._profiles[key] = profile_application(trace, sampling)
-        else:
+        if key in self._profiles:
             obs.metrics().inc("workload_registry.hits")
-        return self._profiles[key]
+            return self._profiles[key]
+        obs.metrics().inc("workload_registry.misses")
+        sampling = SamplingConfig(
+            micro_trace,
+            window,
+            reuse_sample_rate=reuse_sample_rate,
+            reuse_seed=reuse_seed,
+        )
+        found = None
+        if store is not None:
+            params = profile_params(name, instructions, trace_seed,
+                                    sampling)
+            found = store.lookup(params)
+        if found is not None:
+            profile, fingerprint = found
+        else:
+            trace = self.trace(name, instructions, trace_seed)
+            with obs.span("workloads.profile", workload=name):
+                profile = profile_application(trace, sampling)
+            fingerprint = (store.record(params, profile)
+                           if store is not None else None)
+        if fingerprint is not None and store is self.engine.store:
+            # Warm now, with the fingerprint the store already has: the
+            # engine then never hashes this profile again.
+            self.engine.prepare([profile], keys=[fingerprint])
+        self._profiles[key] = profile
+        return profile
 
     def load_profile(self, path: str):
         """Load a profile file (cached by path for the session)."""
@@ -639,26 +675,39 @@ class Session:
 
     def _run_profile(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Profile workloads into files / the store / the registry."""
-        from repro.profiler.serialization import save_profile
+        from repro.profiler import SamplingConfig
+        from repro.profiler.serialization import profile_params, \
+            save_profile
 
-        store = self.profile_store
-        if params["store"]:
-            store = ProfileStore(params["store"])
+        named = ProfileStore(params["store"]) if params["store"] else None
+        store = named if named is not None else self.profile_store
+        sampling = SamplingConfig(
+            params["micro_trace"],
+            params["window"],
+            reuse_sample_rate=params["reuse_sample_rate"],
+            reuse_seed=params["reuse_seed"],
+        )
         entries = []
         for name in params["workloads"]:
             # The span is both the telemetry record and the payload's
             # "seconds" field -- one measurement, no way to disagree.
             with obs.span("profile.workload", workload=name) as span:
-                profile = self.profile_workload(
-                    name,
-                    instructions=params["instructions"],
-                    micro_trace=params["micro_trace"],
-                    window=params["window"],
-                    trace_seed=params["seed"],
-                    reuse_sample_rate=params["reuse_sample_rate"],
-                    reuse_seed=params["reuse_seed"],
-                )
-                key = store.warm(profile) if store is not None else None
+                profile = self._workload_profile(
+                    store, name, params["instructions"],
+                    params["micro_trace"], params["window"],
+                    params["seed"], params["reuse_sample_rate"],
+                    params["reuse_seed"])
+                key = None
+                if named is not None:
+                    # The named store gets the params entry even when
+                    # the registry already held the profile, so a later
+                    # session on it skips trace generation.
+                    key = named.warm(profile, key=named.record(
+                        profile_params(name, params["instructions"],
+                                       params["seed"], sampling),
+                        profile))
+                elif store is not None:
+                    key = self.engine.prepare([profile])[0]
                 if params["output"]:
                     save_profile(profile, params["output"])
             entries.append({

@@ -16,6 +16,7 @@ Examples::
     python -m repro.cli profile gcc --instructions 50000 -o gcc.profile
     python -m repro.cli profile gcc mcf lbm --store .profile-cache \\
         --json profiles.json
+    python -m repro.cli run sweep.json --store .profile-cache
     python -m repro.cli predict gcc.profile
     python -m repro.cli predict gcc.profile --width 2 --rob 64 --llc-mb 2
     python -m repro.cli simulate gcc --instructions 50000
@@ -414,6 +415,8 @@ def _recovery_lines(session) -> List[str]:
     if session.profile_store is not None:
         pairs.append(("table entries quarantined",
                       session.profile_store.tables_quarantined))
+        pairs.append(("profile entries quarantined",
+                      session.profile_store.profiles_quarantined))
     pairs.append(("failed specs", len(session.failures)))
     lines = [f"  {label:<32} {value}"
              for label, value in pairs if value]
@@ -701,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "workload)")
     sub.add_argument("--store", default=None, metavar="DIR",
                      help="pre-profile into this content-addressed "
-                          "ProfileStore (with warmed StatStack tables) "
-                          "so sweep/search/validate --cache runs start "
-                          "warm")
+                          "ProfileStore (complete profiles with warmed "
+                          "StatStack tables) so later runs on the same "
+                          "store skip trace generation and profiling")
     sub.add_argument("--instructions", type=int, default=50_000)
     sub.add_argument("--micro-trace", type=int, default=1000)
     sub.add_argument("--window", type=int, default=5000)
@@ -856,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(1 = serial)")
     sub.add_argument("--store", default=None, metavar="DIR",
                      help="ProfileStore directory shared by every "
-                          "stage (warmed StatStack tables)")
+                          "stage (complete profiles and warmed StatStack "
+                          "tables)")
     sub.add_argument("--runs", default=None, metavar="DIR",
                      help="RunStore directory: cache results by spec "
                           "fingerprint and skip already-computed specs "
@@ -900,8 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workers", type=int, default=1,
                      help="session worker processes (1 = serial)")
     sub.add_argument("--store", default=None, metavar="DIR",
-                     help="ProfileStore directory (warmed StatStack "
-                          "tables shared by every request)")
+                     help="ProfileStore directory (complete profiles "
+                          "and warmed StatStack tables shared by every "
+                          "request)")
     sub.add_argument("--runs", default=None, metavar="DIR",
                      help="sharded RunStore directory: results cached "
                           "by content key; an existing flat store is "

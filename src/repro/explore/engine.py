@@ -245,7 +245,9 @@ class SweepEngine:
         return max(1, self.workers)
 
     def prepare(
-        self, profiles: Sequence[ApplicationProfile]
+        self,
+        profiles: Sequence[ApplicationProfile],
+        keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[Optional[str]]:
         """Materialize per-profile intermediates before the sweep.
 
@@ -256,29 +258,40 @@ class SweepEngine:
         Profiles already prepared by this engine are skipped, so
         repeated sweeps do not re-hash or reload anything.
 
+        Parameters
+        ----------
+        profiles:
+            The profiles to prepare.
+        keys:
+            Optional store fingerprints of ``profiles`` (``None``
+            entries unknown), for profiles the caller already stored --
+            e.g. loaded through :meth:`ProfileStore.lookup` -- so they
+            are not hashed a second time.
+
         Returns
         -------
         list of str or None
             The store fingerprint per profile (``None`` without a store).
         """
-        keys: List[Optional[str]] = []
+        known = list(keys) if keys is not None else [None] * len(profiles)
+        prepared_keys: List[Optional[str]] = []
         with obs.span("engine.prepare", profiles=len(profiles)):
-            for profile in profiles:
+            for profile, known_key in zip(profiles, known):
                 prepared = self._prepared.get(id(profile))
                 if prepared is not None and prepared[0] is profile:
-                    keys.append(prepared[1])
+                    prepared_keys.append(prepared[1])
                     continue
                 if self.store is not None:
-                    key = self.store.warm(profile)
+                    key = self.store.warm(profile, key=known_key)
                 else:
                     profile.statstack()
                     profile.instruction_statstack()
                     key = None
                 self._prepared[id(profile)] = (profile, key)
-                keys.append(key)
+                prepared_keys.append(key)
             if self.store is not None:
                 self.store.flush_metrics(obs.metrics())
-        return keys
+        return prepared_keys
 
     def _batches(
         self, n_profiles: int, n_configs: int

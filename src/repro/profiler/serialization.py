@@ -7,20 +7,25 @@ the profile from disk.  This module provides the same workflow with JSON
 round-trip every statistic the model consumes.
 
 It also provides the content-addressed :class:`ProfileStore` the sweep
-engine uses: profiles are keyed by a SHA-256 fingerprint of their
-canonical JSON form, and expensive derived state (the StatStack
-reuse -> stack distance tables) is memoized on disk next to each profile
-so repeated sweeps skip the conversion entirely.
+engine and the session use: profiles are keyed by a SHA-256 fingerprint
+of their canonical JSON form, a small params entry maps the parameters
+that produced a profile (:func:`profile_params`) to that fingerprint, and
+expensive derived state (the StatStack reuse -> stack distance tables)
+is memoized on disk next to each profile.  A warm store therefore skips
+trace generation, profiling and the table conversion entirely.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import importlib
 import json
 import logging
 import os
 from collections import Counter
-from typing import Any, Dict, IO, Optional, Union
+from typing import Any, Dict, IO, Optional, Tuple, Union
 
 from repro.faults import inject
 from repro.faults.atomic import atomic_write
@@ -363,14 +368,113 @@ def profile_fingerprint(profile: ApplicationProfile) -> str:
     return canonical_fingerprint(profile_to_dict(profile))
 
 
+#: Modules whose code decides a profile's bytes: trace generation, the
+#: profiler passes, the ISA's uop cracking and branch entropy.  Their
+#: source digest is part of every :func:`profile_params` key, so a code
+#: change can never serve a stale stored profile.
+PROFILE_SOURCE_MODULES = (
+    "repro.isa",
+    "repro.workloads.columns",
+    "repro.workloads.generator",
+    "repro.workloads.trace",
+    "repro.frontend.entropy",
+    "repro.frontend.predictors",
+    "repro.statstack.reuse",
+    "repro.profiler.dependences",
+    "repro.profiler.memory",
+    "repro.profiler.mix",
+    "repro.profiler.profile",
+    "repro.profiler.sampling",
+    "repro.profiler.serialization",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def profile_source_digest() -> str:
+    """SHA-256 over the source of :data:`PROFILE_SOURCE_MODULES`.
+
+    Computed once per process (the modules cannot change under a
+    running interpreter).
+
+    Returns
+    -------
+    str
+        A 64-character lowercase hex digest.
+    """
+    digest = hashlib.sha256()
+    for name in PROFILE_SOURCE_MODULES:
+        with open(importlib.import_module(name).__file__, "rb") as handle:
+            source = handle.read()
+        digest.update(f"{name}:{len(source)}:".encode("utf-8"))
+        digest.update(source)
+    return digest.hexdigest()
+
+
+def profile_params(name: str, instructions: int, trace_seed: int,
+                   sampling: SamplingConfig) -> Dict[str, Any]:
+    """Everything that determines a suite workload profile's bytes.
+
+    The :class:`ProfileStore` keys complete profiles by
+    :func:`canonical_fingerprint` of this structure: the workload's full
+    generator spec (so an edit to the suite misses), the instruction
+    budget, every :class:`SamplingConfig` field, the serialization
+    :data:`FORMAT_VERSION` and :func:`profile_source_digest`.
+
+    Parameters
+    ----------
+    name:
+        Suite workload name.
+    instructions:
+        Trace length in instructions.
+    trace_seed:
+        The workload generator's seed.
+    sampling:
+        The profiler's sampling parameters.
+
+    Returns
+    -------
+    dict
+        A JSON-serializable parameter record.
+    """
+    from repro.workloads import make_workload
+
+    return {
+        "workload": dataclasses.asdict(make_workload(name, seed=trace_seed)),
+        "instructions": instructions,
+        "sampling": {
+            "micro_trace_length": sampling.micro_trace_length,
+            "window_length": sampling.window_length,
+            "reuse_sample_rate": sampling.reuse_sample_rate,
+            "reuse_seed": sampling.reuse_seed,
+        },
+        "format_version": FORMAT_VERSION,
+        "source": profile_source_digest(),
+    }
+
+
+def _is_digest(value: Any) -> bool:
+    """Whether ``value`` looks like a SHA-256 hex digest (a safe name)."""
+    return (isinstance(value, str) and len(value) == 64
+            and all(c in "0123456789abcdef" for c in value))
+
+
 class ProfileStore:
     """On-disk, content-addressed store of profiles and derived state.
 
-    Layout: ``<root>/<fingerprint>.profile.json`` holds the profile
-    itself and ``<root>/<fingerprint>.tables.json`` the memoized
-    StatStack stack-distance tables (data and instruction streams).
+    Layout:
+
+    * ``<root>/<fingerprint>.profile.json`` -- the profile itself, named
+      by its content hash (:func:`profile_fingerprint`);
+    * ``<root>/<fingerprint>.tables.json`` -- the memoized StatStack
+      stack-distance tables (data and instruction streams);
+    * ``<root>/<params_key>.params.json`` -- ``{"params": ...,
+      "fingerprint": ...}``, pointing the key of the parameters that
+      produced a profile (:func:`profile_params`) at its fingerprint.
+
     Storing by content hash means ``put`` is idempotent and a profile
-    re-collected bit-identically hits the same cache entry.
+    re-collected bit-identically hits the same cache entry; the params
+    entries let a new process find a complete profile without
+    generating a trace or profiling (:meth:`lookup` / :meth:`record`).
 
     Parameters
     ----------
@@ -378,16 +482,24 @@ class ProfileStore:
         Directory for the store; created on first use.
 
     Accounting: :attr:`tables_hits` / :attr:`tables_misses` /
-    :attr:`tables_corrupt` / :attr:`tables_quarantined` and
-    :attr:`profiles_stored` count store traffic unconditionally (plain
-    integer adds), and :meth:`flush_metrics` publishes the deltas since
-    the previous flush under ``profile_store.*`` metric names.  Corrupt
-    table files additionally emit a ``logging`` warning (logger
-    ``repro.profiler.serialization``), are renamed to a ``.corrupt``
-    sidecar, and are then treated as misses.  All writes are atomic
-    (temp file + rename), so a crash mid-write never leaves a
-    half-written profile or table entry.
+    :attr:`tables_corrupt` / :attr:`tables_quarantined`,
+    :attr:`profiles_hits` / :attr:`profiles_misses` /
+    :attr:`profiles_quarantined` and :attr:`profiles_stored` count
+    store traffic unconditionally (plain integer adds), and
+    :meth:`flush_metrics` publishes the deltas since the previous flush
+    under ``profile_store.*`` metric names.  Corrupt entries -- a file
+    that fails to parse, or a profile whose recomputed fingerprint
+    differs from its file name -- additionally emit a ``logging``
+    warning (logger ``repro.profiler.serialization``), are renamed to a
+    ``.corrupt`` sidecar, and are then treated as misses.  All writes
+    are atomic (temp file + rename), so a crash mid-write never leaves
+    a half-written entry.
     """
+
+    #: Counter attributes published by :meth:`flush_metrics`.
+    COUNTERS = ("tables_hits", "tables_misses", "tables_corrupt",
+                "tables_quarantined", "profiles_hits", "profiles_misses",
+                "profiles_quarantined", "profiles_stored")
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -399,14 +511,18 @@ class ProfileStore:
         self.tables_corrupt = 0
         #: Lifetime corrupt table files moved to ``.corrupt`` sidecars.
         self.tables_quarantined = 0
+        #: Lifetime :meth:`lookup` calls served a complete profile.
+        self.profiles_hits = 0
+        #: Lifetime :meth:`lookup` calls that found no usable entry.
+        self.profiles_misses = 0
+        #: Lifetime corrupt params/profile files moved to sidecars.
+        self.profiles_quarantined = 0
         #: Lifetime profile writes that created a new store entry.
         self.profiles_stored = 0
-        self._flushed = {"tables_hits": 0, "tables_misses": 0,
-                         "tables_corrupt": 0, "tables_quarantined": 0,
-                         "profiles_stored": 0}
-        # Lifetime table-write ordinal: part of the fault-injection key
-        # so a recomputed entry draws a fresh corruption decision.
-        self._table_writes = 0
+        self._flushed = dict.fromkeys(self.COUNTERS, 0)
+        # Lifetime write ordinal: part of the fault-injection key so a
+        # recomputed entry draws a fresh corruption decision.
+        self._writes = 0
 
     # -- paths ----------------------------------------------------------
 
@@ -418,6 +534,35 @@ class ProfileStore:
         """Path of the memoized StatStack tables for ``key``."""
         return os.path.join(self.root, f"{key}.tables.json")
 
+    def params_path(self, params_key: str) -> str:
+        """Path of the params entry for ``params_key``."""
+        return os.path.join(self.root, f"{params_key}.params.json")
+
+    # -- writes and quarantine ------------------------------------------
+
+    def _write(self, path: str, kind: str, key: str, dump) -> None:
+        """Atomically write ``path`` via ``dump(handle)``, then let the
+        fault plan corrupt it (chaos runs exercise the read checks)."""
+        self._writes += 1
+        with atomic_write(path) as handle:
+            dump(handle)
+        inject.store_site(path, f"{kind}:{key}:{self._writes}")
+
+    def _quarantine(self, path: str, what: str, reason: Any) -> bool:
+        """Move a corrupt entry to its ``.corrupt`` sidecar and warn.
+
+        Returns whether the rename succeeded; either way the caller
+        treats the entry as a miss and recomputes.
+        """
+        try:
+            os.replace(path, path + ".corrupt")
+            moved = True
+        except OSError:
+            moved = False
+        logger.warning("corrupt %s entry %s (%s); quarantined, "
+                       "recomputing", what, path, reason)
+        return moved
+
     # -- profiles -------------------------------------------------------
 
     def put(self, profile: ApplicationProfile) -> str:
@@ -425,8 +570,8 @@ class ProfileStore:
         key = profile_fingerprint(profile)
         path = self.profile_path(key)
         if not os.path.exists(path):
-            with atomic_write(path) as handle:
-                save_profile(profile, handle)
+            self._write(path, "profile", key,
+                        lambda handle: save_profile(profile, handle))
             self.profiles_stored += 1
         return key
 
@@ -436,6 +581,101 @@ class ProfileStore:
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self.profile_path(key))
+
+    def lookup(self, params: Dict[str, Any]
+               ) -> Optional[Tuple[ApplicationProfile, str]]:
+        """The stored complete profile for ``params``, verified, or ``None``.
+
+        Reads the params entry, loads the profile it points at and
+        recomputes that profile's fingerprint.  An entry that fails to
+        parse, or a profile whose fingerprint differs from its file
+        name, is quarantined and reported as a miss, so the caller
+        rebuilds and :meth:`record` rewrites it cleanly.
+
+        Parameters
+        ----------
+        params:
+            The profiling parameters (:func:`profile_params`).
+
+        Returns
+        -------
+        tuple of (ApplicationProfile, str) or None
+            The profile and its fingerprint -- pass the fingerprint to
+            :meth:`warm` so the profile is not hashed twice.
+        """
+        params_key = canonical_fingerprint(params)
+        path = self.params_path(params_key)
+        fingerprint = self._read_params(path, params_key)
+        found = (self._read_profile(fingerprint)
+                 if fingerprint is not None else None)
+        if found is None:
+            self.profiles_misses += 1
+            return None
+        self.profiles_hits += 1
+        return found
+
+    def _read_params(self, path: str, params_key: str) -> Optional[str]:
+        """The fingerprint a params entry names (``None``: miss)."""
+        if not os.path.exists(path):
+            return None
+        try:
+            with open(path) as handle:
+                entry = json.load(handle)
+            fingerprint = entry["fingerprint"]
+            if (not _is_digest(fingerprint)
+                    or canonical_fingerprint(entry["params"])
+                    != params_key):
+                raise ValueError("entry does not match its key")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            self.profiles_quarantined += self._quarantine(
+                path, "profile params", exc)
+            return None
+        return fingerprint
+
+    def _read_profile(self, fingerprint: str
+                      ) -> Optional[Tuple[ApplicationProfile, str]]:
+        """The verified stored profile ``fingerprint`` (``None``: miss)."""
+        path = self.profile_path(fingerprint)
+        if not os.path.exists(path):
+            return None
+        try:
+            profile = load_profile(path)
+            if profile_fingerprint(profile) != fingerprint:
+                raise ValueError("content does not match its fingerprint")
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
+            self.profiles_quarantined += self._quarantine(
+                path, "profile", exc)
+            return None
+        return profile, fingerprint
+
+    def record(self, params: Dict[str, Any],
+               profile: ApplicationProfile) -> str:
+        """Store ``profile`` as the result of ``params`` (idempotent).
+
+        Writes the profile (:meth:`put`) and, when absent, the params
+        entry pointing at it.
+
+        Parameters
+        ----------
+        params:
+            The profiling parameters (:func:`profile_params`).
+        profile:
+            The profile they produced.
+
+        Returns
+        -------
+        str
+            The profile's fingerprint key.
+        """
+        key = self.put(profile)
+        params_key = canonical_fingerprint(params)
+        path = self.params_path(params_key)
+        if not os.path.exists(path):
+            entry = {"params": params, "fingerprint": key}
+            self._write(path, "params", params_key,
+                        lambda handle: json.dump(entry, handle))
+        return key
 
     # -- derived state --------------------------------------------------
 
@@ -456,27 +696,17 @@ class ProfileStore:
                 return json.load(handle)
         except (OSError, ValueError) as exc:
             self.tables_corrupt += 1
-            try:
-                os.replace(path, path + ".corrupt")
-                self.tables_quarantined += 1
-            except OSError:
-                pass
-            logger.warning(
-                "corrupt StatStack table entry %s (%s); quarantined, "
-                "recomputing",
-                path, exc,
-            )
+            self.tables_quarantined += self._quarantine(
+                path, "StatStack table", exc)
             return None
 
     def save_tables(self, key: str, tables: Dict[str, Any]) -> None:
         """Persist StatStack tables for ``key`` (overwrites, atomic)."""
-        path = self.tables_path(key)
-        self._table_writes += 1
-        with atomic_write(path) as handle:
-            json.dump(tables, handle)
-        inject.store_site(path, f"tables:{key}:{self._table_writes}")
+        self._write(self.tables_path(key), "tables", key,
+                    lambda handle: json.dump(tables, handle))
 
-    def warm(self, profile: ApplicationProfile) -> str:
+    def warm(self, profile: ApplicationProfile,
+             key: Optional[str] = None) -> str:
         """Attach cached StatStack models to ``profile`` (or build+cache).
 
         On a cache hit the profile's data- and instruction-stream
@@ -485,6 +715,15 @@ class ProfileStore:
         once and the tables persisted for the next run.  Either way the
         profile ends up with both models materialized in memory.
 
+        Parameters
+        ----------
+        profile:
+            The profile to warm.
+        key:
+            Its fingerprint when already known (from :meth:`lookup` or
+            :meth:`record`); the profile is then assumed stored and is
+            not hashed again.  ``None`` stores it via :meth:`put`.
+
         Returns
         -------
         str
@@ -492,7 +731,8 @@ class ProfileStore:
         """
         from repro.statstack.model import StatStack
 
-        key = self.put(profile)
+        if key is None:
+            key = self.put(profile)
         cached = self.load_tables(key)
         if cached is not None:
             self.tables_hits += 1
@@ -514,18 +754,17 @@ class ProfileStore:
     def flush_metrics(self, metrics) -> None:
         """Publish store counters accumulated since the last flush.
 
-        Increments ``profile_store.tables_hits`` /
-        ``profile_store.tables_misses`` / ``profile_store.tables_corrupt``
-        / ``profile_store.tables_quarantined`` /
-        ``profile_store.profiles_stored`` on ``metrics`` by the deltas
-        since the previous flush (repeated flushing never
-        double-counts).  Flushing into a disabled registry is a no-op
-        that keeps the deltas pending.
+        Increments ``profile_store.<counter>`` on ``metrics`` for every
+        name in :attr:`COUNTERS` (``tables_hits``, ``tables_misses``,
+        ``tables_corrupt``, ``tables_quarantined``, ``profiles_hits``,
+        ``profiles_misses``, ``profiles_quarantined``,
+        ``profiles_stored``) by the delta since the previous flush
+        (repeated flushing never double-counts).  Flushing into a
+        disabled registry is a no-op that keeps the deltas pending.
         """
         if not metrics.enabled:
             return
-        for attr in ("tables_hits", "tables_misses", "tables_corrupt",
-                     "tables_quarantined", "profiles_stored"):
+        for attr in self.COUNTERS:
             value = getattr(self, attr)
             delta = value - self._flushed[attr]
             if delta:

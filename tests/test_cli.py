@@ -70,6 +70,52 @@ class TestProfilePredictFlow:
             str(tmp_path / "store" / f"{key}.profile.json"))
         assert profile_fingerprint(loaded) == key
 
+    def test_profile_store_then_run_skips_trace_generation(
+            self, tmp_path, capsys, monkeypatch):
+        import json
+
+        store = str(tmp_path / "store")
+        spec = str(tmp_path / "sweep.json")
+        with open(spec, "w") as handle:
+            json.dump({"kind": "sweep",
+                       "params": {"workloads": ["gcc", "mcf"],
+                                  "instructions": 4000, "limit": 6}},
+                      handle)
+        assert main(["profile", "gcc", "mcf", "--store", store,
+                     "--instructions", "4000"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace generated on a warm store")
+
+        monkeypatch.setattr("repro.workloads.generate_trace", refuse)
+        assert main(["run", spec, "--store", store]) == 0
+        assert main(["profile", "gcc", "--store", store,
+                     "--instructions", "4000"]) == 0
+        out = capsys.readouterr().out
+        assert "1 spec(s): 1 computed" in out
+
+    def test_run_reports_quarantined_profile_entries(self, tmp_path,
+                                                     capsys):
+        import json
+        import os
+
+        store = str(tmp_path / "store")
+        spec = str(tmp_path / "sweep.json")
+        with open(spec, "w") as handle:
+            json.dump({"kind": "sweep",
+                       "params": {"workloads": ["gcc"],
+                                  "instructions": 4000, "limit": 3}},
+                      handle)
+        assert main(["profile", "gcc", "--store", store,
+                     "--instructions", "4000"]) == 0
+        for name in os.listdir(store):
+            if name.endswith(".params.json"):
+                with open(os.path.join(store, name), "w") as handle:
+                    handle.write("{broken")
+        assert main(["run", spec, "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "profile entries quarantined" in out
+
     def test_profile_duplicate_workloads_rejected(self, tmp_path,
                                                   capsys):
         assert main(["profile", "gcc", "gcc",

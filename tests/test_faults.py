@@ -502,6 +502,35 @@ class TestStoreInjection:
         assert _strip(first.to_dict()) == _strip(second.to_dict())
 
 
+    def test_corrupted_profile_entries_still_sweep_bitwise(
+            self, tmp_path, monkeypatch):
+        root = str(tmp_path / "profiles")
+        with Session() as plain:
+            reference = _strip(plain.run(SWEEP_SPEC).to_dict())
+        _activate_env(monkeypatch, "corrupt_store:1.0")
+        # Every profile, params and table write is corrupted: the second
+        # session quarantines what the first wrote and recomputes.
+        for _ in range(2):
+            with Session(profile_store=root) as chaotic:
+                assert _strip(chaotic.run(SWEEP_SPEC).to_dict()) \
+                    == reference
+        assert chaotic.profile_store.profiles_quarantined >= 1
+        assert any(name.endswith(".params.json.corrupt")
+                   for name in os.listdir(root))
+        monkeypatch.delenv(inject.ENV_SPEC)
+        inject.refresh()
+        # Fault-free sessions heal the store (params entry first, then
+        # the profile it points at) and then serve it warm.
+        for _ in range(2):
+            with Session(profile_store=root) as healing:
+                assert _strip(healing.run(SWEEP_SPEC).to_dict()) \
+                    == reference
+        with Session(profile_store=root) as warm:
+            assert _strip(warm.run(SWEEP_SPEC).to_dict()) == reference
+            assert warm.profile_store.profiles_hits == 1
+            assert warm._traces == {}
+
+
 # ----------------------------------------------------------------------
 # The seeded chaos campaign (CI leg entry point)
 # ----------------------------------------------------------------------

@@ -335,6 +335,35 @@ class TestStoreAccounting:
         assert counters["profile_store.tables_corrupt"] == 1
         assert counters["profile_store.profiles_stored"] == 1
 
+    def test_profile_store_counts_profile_entries(
+            self, tmp_path, gcc_profile, caplog):
+        from repro.profiler.serialization import (
+            ProfileStore,
+            canonical_fingerprint,
+            profile_params,
+        )
+
+        store = ProfileStore(str(tmp_path / "profiles"))
+        params = profile_params("gcc", 3000, 42, gcc_profile.sampling)
+        assert store.lookup(params) is None  # plain miss
+        store.record(params, gcc_profile)
+        assert store.lookup(params) is not None  # hit
+        with open(store.params_path(canonical_fingerprint(params)),
+                  "w") as handle:
+            handle.write("{broken")
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.profiler.serialization"):
+            assert store.lookup(params) is None  # quarantined miss
+        assert any("corrupt profile params entry" in record.message
+                   for record in caplog.records)
+        registry = MetricsRegistry()
+        store.flush_metrics(registry)
+        counters = registry.snapshot()["counters"]
+        assert counters["profile_store.profiles_hits"] == 1
+        assert counters["profile_store.profiles_misses"] == 2
+        assert counters["profile_store.profiles_quarantined"] == 1
+        assert counters["profile_store.profiles_stored"] == 1
+
     def test_model_cache_flush(self, gcc_profile, reference_config):
         model = AnalyticalModel(cache=ModelCache())
         model.predict(gcc_profile, reference_config)
@@ -392,6 +421,23 @@ class TestSessionTelemetry:
         counters = result.telemetry["metrics"]["counters"]
         assert counters["run_store.hits"] == 1
         assert "run_store.lookup" in result.telemetry["spans"]
+
+    def test_warm_profile_store_reports_profile_hits(self, tmp_path,
+                                                     sweep_spec):
+        profiles = str(tmp_path / "profiles")
+        with Session(profile_store=profiles) as session:
+            cold = session.run(sweep_spec)
+        telemetry = Telemetry(trace=True, metrics=True)
+        with Session(profile_store=profiles,
+                     telemetry=telemetry) as session:
+            warm = session.run(sweep_spec)
+        counters = warm.telemetry["metrics"]["counters"]
+        assert counters["profile_store.profiles_hits"] == 1
+        assert counters["profile_store.tables_hits"] == 1
+        assert "profile_store.profiles_misses" not in counters
+        assert "workloads.trace" not in warm.telemetry["spans"]
+        assert (warm.to_dict(include_telemetry=False)
+                == cold.to_dict(include_telemetry=False))
 
     def test_no_block_when_telemetry_disabled(self, tmp_path,
                                               sweep_spec):
