@@ -13,6 +13,12 @@ a >= 10k-configuration design grid:
   and the DesignPoint stream a :class:`SweepEngine` produces from each
   backend over a grid slice.
 
+It also reports the batch backend's cost per design point over the
+same grid for a few suite workloads (:data:`SUITE_WORKLOADS`): gcc
+hides the branch-bound (gamess, libquantum) and stride-bound (bwaves)
+model paths that dominate elsewhere.  The table is informational; no
+gate reads it.
+
 Results land in ``benchmarks/results/E34_model_batch.txt`` and the
 machine-readable perf-trajectory record in ``BENCH_model_batch.json``
 at the repository root (all ``bench_*`` scripts put their
@@ -45,6 +51,8 @@ INSTRUCTIONS = 20_000
 MICRO_TRACE = 1_000
 WINDOW = 4_000
 REQUIRED_SPEEDUP = 5.0
+#: Workloads of the per-workload batch µs/point table.
+SUITE_WORKLOADS = ("gcc", "mcf", "gamess", "libquantum", "bwaves")
 
 #: Benchmark grid (Table 6.3 axes widened with L2/MSHR and the DVFS
 #: frequencies of Table 7.2): 3*5*3*4*7*3*3 = 11,340 configurations.
@@ -111,16 +119,20 @@ def timed_run(profile, configs, backend: str, repeats: int):
     return best, kept
 
 
+def workload_profile(name: str):
+    """The benchmark's profile of one suite workload."""
+    trace = generate_trace(make_workload(name),
+                           max_instructions=INSTRUCTIONS)
+    return profile_application(trace, SamplingConfig(MICRO_TRACE, WINDOW))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per backend (best counts)")
     args = parser.parse_args()
 
-    trace = generate_trace(make_workload(WORKLOAD),
-                           max_instructions=INSTRUCTIONS)
-    profile = profile_application(
-        trace, SamplingConfig(MICRO_TRACE, WINDOW))
+    profile = workload_profile(WORKLOAD)
     configs = design_space(GRID_AXES)
     assert len(configs) >= 10_000, "grid too small for the gate"
 
@@ -160,6 +172,15 @@ def main() -> int:
         [profile], slice_configs)[WORKLOAD]
     sweep_equal = points_identical(scalar_points, batch_points)
 
+    # Per-workload batch cost over the same grid, timed like the gated
+    # gcc run (which supplies gcc's entry).
+    us_per_point = {WORKLOAD: t_batch / len(configs) * 1e6}
+    for name in SUITE_WORKLOADS:
+        if name != WORKLOAD:
+            seconds, _ = timed_run(workload_profile(name), configs,
+                                   "batch", args.repeats)
+            us_per_point[name] = seconds / len(configs) * 1e6
+
     lines.append(
         f"speedup: {speedup:.2f}x (gate >= {REQUIRED_SPEEDUP:.0f}x)")
     lines.append(
@@ -170,6 +191,11 @@ def main() -> int:
     lines.append(
         f"identical SweepEngine DesignPoints ({len(slice_configs)} "
         f"configs, chunk 64): {'yes' if sweep_equal else 'NO'}")
+    lines.append(f"batch backend per workload, {len(configs)} "
+                 f"configurations (best of {args.repeats}):")
+    lines.append(f"{'workload':>12s} {'us/point':>9s}")
+    for name, value in us_per_point.items():
+        lines.append(f"{name:>12s} {value:>9.1f}")
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     text = "\n".join(lines)
@@ -193,6 +219,9 @@ def main() -> int:
         "bitwise_identical": identical,
         "cache_keys_identical": caches_equal,
         "sweep_points_identical": sweep_equal,
+        "batch_us_per_point": {
+            name: round(value, 2) for name, value in us_per_point.items()
+        },
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,

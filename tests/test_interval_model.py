@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_loops import branch_resolution_time_stepwise
 from repro.core import AnalyticalModel, nehalem
 from repro.core.interval import (
     DEFAULT_ENTROPY_MODEL,
@@ -126,10 +127,18 @@ class TestBranchResolution:
         assert resolution >= 1.0
 
     def test_terminates_on_huge_intervals(self):
-        resolution = branch_resolution_time(
-            self.make_chains(), 2.0, 1e7, MachineConfig()
-        )
+        chains = self.make_chains()
+        resolution = branch_resolution_time(chains, 2.0, 1e7, MachineConfig())
         assert resolution > 0.0
+        # 10k uops already reach the steady-state ROB occupancy; the
+        # per-cycle loop would step 1e7 uops to land on the same value.
+        steady = branch_resolution_time_stepwise(
+            chains, 2.0, 1e4, MachineConfig()
+        )
+        assert branch_resolution_time(
+            chains, 2.0, 1e4, MachineConfig()
+        ) == steady
+        assert resolution == steady
 
     def test_longer_abp_longer_resolution(self):
         short = branch_resolution_time(
